@@ -104,16 +104,6 @@ def _program_path(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _maybe_write_output(result, args: argparse.Namespace) -> None:
-    output = getattr(args, "output", None)
-    if not output:
-        return
-    from repro.core.jobfile import write_job
-
-    n = write_job(result.job, output)
-    print(f"wrote machine job file {output} ({n:,} bytes)")
-
-
 def _print_result(result, pec_matrix=None) -> None:
     job = result.job
     report = result.fracture_report
@@ -238,26 +228,28 @@ def _print_result(result, pec_matrix=None) -> None:
     print(table.render())
 
 
+def _prep(
+    pipeline: PreparationPipeline, args: argparse.Namespace, source, name=None
+) -> int:
+    """Prepare ``source`` — out of core with ``--stream``, in memory
+    otherwise — and print the report and the job file written."""
+    run = pipeline.run_streaming if args.stream else pipeline.run
+    result = run(
+        source,
+        name=name,
+        program_path=_program_path(args),
+        job_path=args.output or None,
+    )
+    _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
+    if args.output:
+        print(f"wrote machine job file {args.output} ({result.job_bytes:,} bytes)")
+    return 0
+
+
 def cmd_prep(args: argparse.Namespace) -> int:
     pipeline = _build_pipeline(args)
-    if args.stream:
-        result = pipeline.run_streaming(
-            args.gdsii,
-            program_path=_program_path(args),
-            job_path=args.output or None,
-        )
-        _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-        if args.output:
-            print(
-                f"wrote machine job file {args.output} "
-                f"({result.job_bytes:,} bytes)"
-            )
-        return 0
-    library = read_gdsii(args.gdsii)
-    result = pipeline.run(library, program_path=_program_path(args))
-    _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-    _maybe_write_output(result, args)
-    return 0
+    source = args.gdsii if args.stream else read_gdsii(args.gdsii)
+    return _prep(pipeline, args, source)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -338,29 +330,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             )
             return 2
         source = workloads[args.workload]
-    pipeline = _build_pipeline(args)
-    if args.stream:
-        result = pipeline.run_streaming(
-            source,
-            name=args.workload,
-            program_path=_program_path(args),
-            job_path=args.output or None,
-        )
-        _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-        if args.output:
-            print(
-                f"wrote machine job file {args.output} "
-                f"({result.job_bytes:,} bytes)"
-            )
-        return 0
-    result = pipeline.run(
-        source,
-        name=args.workload,
-        program_path=_program_path(args),
-    )
-    _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-    _maybe_write_output(result, args)
-    return 0
+    return _prep(_build_pipeline(args), args, source, name=args.workload)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -85,6 +85,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -377,14 +378,14 @@ class ExecutionStats:
         streamed: the run used the out-of-core field-window path
             (:meth:`ShardedExecutor.execute_stream`) — source polygons
             were spooled to disk and only one shard row was resident at
-            a time; the remaining ``stream``/``spill`` counters are
-            then live.
-        stream_windows: shard-row windows dispatched by a streamed run.
-        peak_window_bytes: high-water mark of one window's resident
-            bytes (spooled source geometry read back for the window
-            plus its serialized shard results) — the streamed
+            a time; the ``spill`` counters are then live.
+        stream_windows: windows the run dispatched — one per shard row
+            when streamed, 1 for a materialized batch.
+        peak_window_bytes: high-water mark of one streamed window's
+            resident bytes (spooled source geometry read back for the
+            window plus its serialized shard results) — the streamed
             counterpart of the machine-program writer's
-            ``peak_segment_bytes`` witness.
+            ``peak_segment_bytes`` witness; 0 when not streamed.
         shards_spilled: completed shard results spilled to the cache's
             blob family instead of being held for the merge.
         spill_bytes: total serialized bytes spilled.
@@ -461,21 +462,86 @@ class ExecutionStats:
 
 @dataclass
 class ExecutionResult:
-    """Merged output of all shards, in deterministic shard order.
+    """One layout's execution, in deterministic row-major shard order.
 
-    ``shard_results`` keeps the per-shard results (plan order, shot
-    lists shared with ``shots`` by reference) so downstream consumers —
-    the machine-program exporter above all — can stream per shard
-    without re-partitioning the merged list.
+    Carries the merged :class:`~repro.fracture.quality.FractureReport`,
+    the :class:`ExecutionStats` and a *re-iterable* cursor over the
+    shard results (:meth:`iter_results`).  A materialized run holds
+    every result resident; a streamed run holds keys into its spill
+    store and re-reads one result at a time, so job assembly never
+    holds more than one shard's shots.  ``shard_results`` and ``shots``
+    materialize the cursor.
+
+    ``entries`` pair each shard's spill key with ``None``, or ``None``
+    with the resident result.  Use as a context manager (or call
+    :meth:`close`) so a streamed run without a configured cache can
+    remove its private spill directory; closing a resident result is a
+    no-op.
     """
 
-    shots: List[Shot] = field(default_factory=list)
-    report: FractureReport = field(
-        default_factory=lambda: analyze_figures([])
-    )
-    corrected: bool = False
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
-    shard_results: List[ShardResult] = field(default_factory=list)
+    stats: Optional[ExecutionStats]
+    report: FractureReport
+    corrected: bool
+    entries: List[Tuple[Optional[str], Optional[ShardResult]]]
+    total_shots: int
+    source_polygons: int = 0
+    spill: Optional["_Spill"] = None
+    closed: bool = False
+
+    @property
+    def shard_results(self) -> List[ShardResult]:
+        return list(self.iter_results())
+
+    @property
+    def shots(self) -> List[Shot]:
+        return [
+            shot for result in self.iter_results() for shot in result.shots
+        ]
+
+    def iter_results(self):
+        """Yield every :class:`ShardResult` in row-major shard order.
+
+        Spilled results are re-read from the blob store one at a time
+        (without touching the cache's hit/miss accounting); resident
+        results — a materialized run, or a streamed one whose spill
+        degraded — are yielded directly.  Every call starts a new pass:
+        the machine-program exporter and the job writer each take one.
+        """
+        from repro.core.jobfile import loads_shard_result
+
+        for key, resident in self.entries:
+            if resident is not None:
+                yield resident
+                continue
+            if self.closed:
+                raise RuntimeError(
+                    "streaming execution is closed; its spilled shard "
+                    "results are no longer readable"
+                )
+            payload = self.spill.cache.get_blob(key, record=False)
+            if payload is None:
+                raise RuntimeError(
+                    f"spilled shard result {key} vanished from the cache "
+                    "before job assembly (cache pruned concurrently?)"
+                )
+            yield loads_shard_result(payload)
+
+    def close(self) -> None:
+        """Release the private spill directory (idempotent).
+
+        Spills into a caller-configured :class:`ShardCache` are left in
+        place: they are content-addressed blobs a concurrent run may
+        share, and ordinary cache maintenance prunes them.
+        """
+        self.closed = True
+        if self.spill is not None:
+            self.spill.close()
+
+    def __enter__(self) -> "ExecutionResult":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def plan_shards(
@@ -504,26 +570,14 @@ def plan_shards(
             f"overlap_policy must be 'warn', 'union' or 'ignore', "
             f"got {overlap_policy!r}"
         )
-    polygons = list(polygons)
-    if not polygons:
-        return []
-    if field_size is None:
-        return [Shard(index=(0, 0), polygons=tuple(polygons))]
-    if field_size <= 0:
-        raise ValueError("field size must be positive")
-    if overlap_policy == "union" and len(polygons) > 1:
-        from repro.geometry.boolean import union
-
-        polygons = union(polygons)
-    buckets, origin = _bucket_row_major(polygons, field_size, origin)
-    if overlap_policy == "warn":
-        _warn_on_cross_shard_overlap(
-            buckets, origin, field_size, lambda poly: poly
-        )
-    return [
-        Shard(index=index, polygons=tuple(buckets[index]))
-        for index in sorted(buckets, key=lambda ij: (ij[1], ij[0]))
-    ]
+    return _plan_tiles(
+        list(polygons),
+        field_size,
+        origin,
+        overlap_policy,
+        lambda index, polys: Shard(index=index, polygons=tuple(polys)),
+        lambda poly: poly,
+    )
 
 
 def plan_figure_shards(
@@ -558,37 +612,46 @@ def plan_figure_shards(
             f"overlap_policy must be 'warn', 'union' or 'ignore', "
             f"got {overlap_policy!r}"
         )
-    figures = list(figures)
-    if not figures:
-        return []
-    if field_size is None:
-        return [Shard(index=(0, 0), polygons=(), figures=tuple(figures))]
-    buckets, origin = _bucket_row_major(figures, field_size, origin)
-    if overlap_policy == "warn":
-        _warn_on_cross_shard_overlap(
-            buckets, origin, field_size, lambda trap: trap.to_polygon()
-        )
-    return [
-        Shard(index=index, polygons=(), figures=tuple(buckets[index]))
-        for index in sorted(buckets, key=lambda ij: (ij[1], ij[0]))
-    ]
+    return _plan_tiles(
+        list(figures),
+        field_size,
+        origin,
+        overlap_policy,
+        lambda index, figs: Shard(
+            index=index, polygons=(), figures=tuple(figs)
+        ),
+        lambda trap: trap.to_polygon(),
+    )
 
 
-def _bucket_row_major(
-    items: Sequence,
-    field_size: float,
+def _plan_tiles(
+    items: List,
+    field_size: Optional[float],
     origin: Optional[Tuple[float, float]],
-) -> Tuple[dict, Tuple[float, float]]:
+    overlap_policy: str,
+    shard_of: Callable[[FieldIndex, List], Shard],
+    as_polygon: Callable[[object], Polygon],
+) -> List[Shard]:
     """Bucket geometry by bounding-box centre onto the field mosaic.
 
     Shared by the polygon and figure planners so flat and cells runs
     shard identically: mosaic anchored at ``origin`` (lower-left of the
     combined bounding box by default), items assigned whole via
     :func:`repro.core.fields.field_index_of`, input order preserved
-    within each bucket.
+    within each bucket, shards built by ``shard_of`` in row-major
+    order.  ``as_polygon`` feeds the ``"warn"`` overlap check;
+    ``"union"`` (polygons only) unions the items before bucketing.
     """
+    if not items:
+        return []
+    if field_size is None:
+        return [shard_of((0, 0), items)]
     if field_size <= 0:
         raise ValueError("field size must be positive")
+    if overlap_policy == "union" and len(items) > 1:
+        from repro.geometry.boolean import union
+
+        items = union(items)
     boxes = [item.bounding_box() for item in items]
     if origin is None:
         origin = (min(b[0] for b in boxes), min(b[1] for b in boxes))
@@ -599,7 +662,14 @@ def _bucket_row_major(
             (bx0 + bx1) / 2.0, (by0 + by1) / 2.0, x0, y0, field_size
         )
         buckets.setdefault(index, []).append(item)
-    return buckets, origin
+    if overlap_policy == "warn":
+        _warn_on_cross_shard_overlap(
+            _tile_entries(buckets, origin, field_size), as_polygon
+        )
+    return [
+        shard_of(index, buckets[index])
+        for index in sorted(buckets, key=lambda ij: (ij[1], ij[0]))
+    ]
 
 
 def _window_edges(
@@ -686,52 +756,67 @@ def _interiors_overlap(
     return False
 
 
-def _warn_on_cross_shard_overlap(
-    buckets: dict,
+#: ``(field index, item, bounding box, crosser)`` — one item of a tile
+#: as the cross-shard overlap check sees it; ``crosser`` marks an item
+#: whose bounding box escapes its own tile.
+_TileEntry = Tuple[FieldIndex, object, Tuple[float, float, float, float], bool]
+
+
+def _escapes_tile(
+    bb: Tuple[float, float, float, float],
+    index: FieldIndex,
     origin: Tuple[float, float],
     field_size: float,
-    as_polygon,
-) -> None:
-    """Emit :class:`ShardOverlapWarning` if items of different shards
-    have positive-area interior overlap.
+) -> bool:
+    """True iff the bounding box ``bb`` reaches outside tile ``index``."""
+    tile_x0 = origin[0] + index[0] * field_size
+    tile_y0 = origin[1] + index[1] * field_size
+    return (
+        bb[0] < tile_x0
+        or bb[1] < tile_y0
+        or bb[2] > tile_x0 + field_size
+        or bb[3] > tile_y0 + field_size
+    )
 
-    ``as_polygon`` converts a bucket item to a :class:`Polygon` for the
-    exact interior test (identity for polygon shards, ``to_polygon``
-    for pre-fractured figure shards).  An overlapping cross-shard pair
-    always involves at least one item whose bounding box escapes its
-    own tile, so the exact interior test runs only on bbox-overlapping
-    pairs with a boundary crosser in them — a sorted sweep keeps the
-    candidate set small for mosaic-friendly layouts, and fully
-    tile-contained layouts skip the sweep entirely.
-    """
-    x0, y0 = origin
-    entries: List[
-        Tuple[FieldIndex, Polygon, Tuple[float, float, float, float], bool]
-    ] = []
-    any_crosser = False
+
+def _tile_entries(
+    buckets: dict, origin: Tuple[float, float], field_size: float
+) -> List[_TileEntry]:
+    """The overlap check's view of bucketed geometry (see
+    :data:`_TileEntry`)."""
+    entries: List[_TileEntry] = []
     for index, items in buckets.items():
-        tile_x0 = x0 + index[0] * field_size
-        tile_y0 = y0 + index[1] * field_size
-        tile_x1 = tile_x0 + field_size
-        tile_y1 = tile_y0 + field_size
         for item in items:
             bb = item.bounding_box()
-            crosser = (
-                bb[0] < tile_x0
-                or bb[1] < tile_y0
-                or bb[2] > tile_x1
-                or bb[3] > tile_y1
-            )
-            any_crosser = any_crosser or crosser
+            crosser = _escapes_tile(bb, index, origin, field_size)
             entries.append((index, item, bb, crosser))
+    return entries
+
+
+def _warn_on_cross_shard_overlap(
+    entries: List[_TileEntry], as_polygon, row: Optional[int] = None
+) -> bool:
+    """Emit :class:`ShardOverlapWarning` if items of different shards
+    have positive-area interior overlap; returns whether it warned.
+
+    ``as_polygon`` converts an item to a :class:`Polygon` for the exact
+    interior test (identity for polygon shards, ``to_polygon`` for
+    pre-fractured figure shards).  With ``row`` set, only pairs with an
+    item in that shard row are checked: a windowed run passes one row's
+    items plus the boundary crossers of every other row, so only
+    crossers stay resident across windows.  An overlapping cross-shard
+    pair always involves at least one item whose bounding box escapes
+    its own tile, so the exact interior test runs only on
+    bbox-overlapping pairs with a boundary crosser in them — a sorted
+    sweep keeps the candidate set small for mosaic-friendly layouts,
+    and fully tile-contained layouts skip the sweep entirely.
+    """
     # Two polygons both contained in their own tiles cannot overlap, so
     # every overlapping cross-shard pair involves a boundary crosser.
-    if not any_crosser:
-        return
-    entries.sort(key=lambda item: item[2][0])
-    active: List[
-        Tuple[FieldIndex, Polygon, Tuple[float, float, float, float], bool]
-    ] = []
+    if not any(entry[3] for entry in entries):
+        return False
+    entries = sorted(entries, key=lambda item: item[2][0])
+    active: List[_TileEntry] = []
     checked = 0
     for index, item, bb, crosser in entries:
         active = [entry for entry in active if entry[2][2] > bb[0]]
@@ -739,6 +824,8 @@ def _warn_on_cross_shard_overlap(
             if other_index == index:
                 continue
             if not (crosser or other_crosser):
+                continue
+            if row is not None and row != index[1] and row != other_index[1]:
                 continue
             if min(bb[3], other_bb[3]) <= max(bb[1], other_bb[1]):
                 continue
@@ -751,9 +838,9 @@ def _warn_on_cross_shard_overlap(
                     "pass overlap_policy='union', or run with "
                     "field_size=None",
                     ShardOverlapWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
-                return
+                return True
             if _interiors_overlap(
                 as_polygon(item), as_polygon(other_item), bb, other_bb
             ):
@@ -764,10 +851,11 @@ def _warn_on_cross_shard_overlap(
                     "pre-union the layout, pass overlap_policy='union', "
                     "or run with field_size=None",
                     ShardOverlapWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
-                return
+                return True
         active.append((index, item, bb, crosser))
+    return False
 
 
 def _process_shard(
@@ -1202,22 +1290,44 @@ def _map_shards(
 def merge_shard_results(
     results: Sequence[ShardResult], corrected: bool, stats: ExecutionStats
 ) -> ExecutionResult:
-    """Concatenate shard shots in shard order and merge the reports."""
-    shots: List[Shot] = []
-    for result in results:
-        shots.extend(result.shots)
-    reference = sum(r.reference_area for r in results)
+    """Hold shard results resident, in shard order, with merged reports."""
+    results = list(results)
     report = merge_reports(
-        [r.report for r in results], reference_area=reference
+        [r.report for r in results],
+        reference_area=sum(r.reference_area for r in results),
     )
     return ExecutionResult(
-        shots=shots,
+        stats=stats,
         report=report,
         corrected=corrected,
-        stats=stats,
-        shard_results=list(results),
+        entries=[(None, result) for result in results],
+        total_shots=sum(len(result.shots) for result in results),
     )
 
+
+def _store_failure(put: Callable[..., bool], *args) -> Optional[str]:
+    """Run one cache store; why it failed (``OSError`` or a refusal),
+    or ``None`` when it stored."""
+    try:
+        if put(*args):
+            return None
+    except OSError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "the filesystem refused the store"
+
+
+#: ``ExecutionStats`` field ← ``DistRunStats`` counter, summed over a
+#: run's windows (``dist_workers`` takes the maximum instead).
+_DIST_COUNTERS = (
+    ("leases_granted", "leases_granted"),
+    ("leases_reclaimed", "leases_reclaimed"),
+    ("worker_deaths", "worker_deaths"),
+    ("heartbeats_missed", "heartbeats_missed"),
+    ("speculative_wins", "speculative_wins"),
+    ("speculative_losses", "speculative_losses"),
+    ("duplicate_commits", "duplicate_commits"),
+    ("dist_local_fallbacks", "local_fallbacks"),
+)
 
 #: Spool record framing: a big-endian vertex count followed by that many
 #: ``(x, y)`` float64 pairs.  Doubles round-trip exactly, so a polygon
@@ -1225,93 +1335,195 @@ def merge_shard_results(
 _SPOOL_COUNT = struct.Struct(">I")
 
 
-class StreamingExecution:
-    """Handle on one out-of-core execution (cursor over spilled results).
+class _Spool:
+    """A polygon cursor spooled to disk: the streamed run's windows.
 
-    Returned by :meth:`ShardedExecutor.execute_stream` after all shard
-    windows have been dispatched: it carries the merged
-    :class:`~repro.fracture.quality.FractureReport`, the
-    :class:`ExecutionStats` (with the streaming witness counters live)
-    and a *re-iterable* row-major cursor over the shard results —
-    :meth:`iter_results` re-reads each spilled result from the cache's
-    blob family one at a time, so job assembly never holds more than one
-    shard's shots resident.
+    Construction makes two passes, neither of which materializes the
+    layout:
 
-    Use as a context manager (or call :meth:`close`) so a run without a
-    configured cache can remove its private spill directory.
+    1. **Spool** — every polygon is written to a flat temp file as exact
+       doubles while the mosaic origin (min corner of the combined
+       bounding box) folds incrementally.
+    2. **Index** — the spool is re-read sequentially; each polygon's
+       field index is computed exactly as :func:`plan_shards` would
+       (bounding-box centre against the same origin), building a tiny
+       row → column → spool-offset index.  With ``check_overlap`` the
+       polygons whose bounding box escapes their tile stay resident for
+       the cross-shard overlap check.
+
+    :meth:`windows` then re-reads one shard row at a time; :meth:`close`
+    deletes the spool file.
     """
 
     def __init__(
-        self,
-        stats: ExecutionStats,
-        report: FractureReport,
-        corrected: bool,
-        source_polygons: int,
-        total_shots: int,
-        entries: List[Tuple[Optional[str], Optional[ShardResult]]],
-        spill_cache: Optional[ShardCache],
-        spill_dir: Optional[str],
+        self, polygons, field_size: Optional[float], check_overlap: bool
     ) -> None:
-        self.stats = stats
-        self.report = report
-        self.corrected = corrected
-        self.source_polygons = source_polygons
-        self.total_shots = total_shots
-        self._entries = entries
-        self._spill_cache = spill_cache
-        self._spill_dir = spill_dir
-        self._closed = False
+        if field_size is not None and field_size <= 0:
+            raise ValueError("field size must be positive")
+        self.field_size = field_size
+        self.source_polygons = 0
+        self.rows: Dict[int, Dict[int, List[int]]] = {}
+        self.crossers: List[_TileEntry] = []
+        fd, self.path = tempfile.mkstemp(prefix="repro-spool-")
+        try:
+            min_x = min_y = math.inf
+            with os.fdopen(fd, "wb", buffering=1 << 20) as spool:
+                for poly in polygons:
+                    verts = poly.vertices
+                    spool.write(_SPOOL_COUNT.pack(len(verts)))
+                    spool.write(
+                        struct.pack(
+                            f">{2 * len(verts)}d",
+                            *(c for v in verts for c in (v.x, v.y)),
+                        )
+                    )
+                    self.source_polygons += 1
+                    for v in verts:
+                        if v.x < min_x:
+                            min_x = v.x
+                        if v.y < min_y:
+                            min_y = v.y
+            self.origin = (min_x, min_y)
+            self._index(check_overlap)
+        except BaseException:
+            self.close()
+            raise
 
-    @property
-    def occupied_shards(self) -> int:
-        return self.stats.occupied_shards
+    @staticmethod
+    def _read(spool) -> Optional[Tuple[float, ...]]:
+        """The next record's coordinates, or ``None`` at end of file."""
+        head = spool.read(_SPOOL_COUNT.size)
+        if not head:
+            return None
+        (count,) = _SPOOL_COUNT.unpack(head)
+        return struct.unpack(f">{2 * count}d", spool.read(16 * count))
 
-    def iter_results(self):
-        """Yield every :class:`ShardResult` in row-major shard order.
+    def _index(self, check_overlap: bool) -> None:
+        with open(self.path, "rb", buffering=1 << 20) as spool:
+            offset = 0
+            while (values := self._read(spool)) is not None:
+                index = (0, 0)
+                if self.field_size is not None:
+                    xs = values[0::2]
+                    ys = values[1::2]
+                    bb = (min(xs), min(ys), max(xs), max(ys))
+                    index = field_index_of(
+                        (bb[0] + bb[2]) / 2.0,
+                        (bb[1] + bb[3]) / 2.0,
+                        *self.origin,
+                        self.field_size,
+                    )
+                    if check_overlap and _escapes_tile(
+                        bb, index, self.origin, self.field_size
+                    ):
+                        poly = Polygon(list(zip(xs, ys)))
+                        self.crossers.append((index, poly, bb, True))
+                col, row = index
+                cols = self.rows.setdefault(row, {})
+                cols.setdefault(col, []).append(offset)
+                offset += _SPOOL_COUNT.size + 8 * len(values)
 
-        Spilled results are re-read from the blob store one at a time
-        (without touching the cache's hit/miss accounting); results that
-        degraded to the in-memory fallback are yielded directly.  The
-        cursor is re-iterable — the machine-program exporter and the job
-        writer each take their own pass.
-        """
-        from repro.core.jobfile import loads_shard_result
-
-        for key, resident in self._entries:
-            if resident is not None:
-                yield resident
-                continue
-            if self._closed:
-                raise RuntimeError(
-                    "streaming execution is closed; its spilled shard "
-                    "results are no longer readable"
-                )
-            payload = self._spill_cache.get_blob(key, record=False)
-            if payload is None:
-                raise RuntimeError(
-                    f"spilled shard result {key} vanished from the cache "
-                    "before job assembly (cache pruned concurrently?)"
-                )
-            yield loads_shard_result(payload)
+    def windows(self):
+        """Yield ``(items, source_bytes)`` per shard row, bottom to top:
+        the row's ``(0, shard)`` work items and the spooled bytes read
+        back for them.  Runs the cross-shard overlap check on each row
+        against the resident crossers of every other row, until it
+        warns once."""
+        warned = not self.crossers
+        with open(self.path, "rb") as spool:
+            for row in sorted(self.rows):
+                buckets: Dict[FieldIndex, List[Polygon]] = {}
+                source_bytes = 0
+                for col in sorted(self.rows[row]):
+                    bucket = buckets[(col, row)] = []
+                    for offset in self.rows[row][col]:
+                        spool.seek(offset)
+                        values = self._read(spool)
+                        bucket.append(
+                            Polygon(list(zip(values[0::2], values[1::2])))
+                        )
+                        source_bytes += _SPOOL_COUNT.size + 8 * len(values)
+                if not warned:
+                    entries = _tile_entries(
+                        buckets, self.origin, self.field_size
+                    )
+                    entries += [c for c in self.crossers if c[0][1] != row]
+                    warned = _warn_on_cross_shard_overlap(
+                        entries, lambda poly: poly, row
+                    )
+                items = [
+                    (0, Shard(index=index, polygons=tuple(polys)))
+                    for index, polys in buckets.items()
+                ]
+                yield items, source_bytes
 
     def close(self) -> None:
-        """Release the private spill directory (idempotent).
+        try:
+            os.unlink(self.path)
+        except OSError:
+            pass
 
-        Spills into a caller-configured :class:`ShardCache` are left in
-        place: they are content-addressed blobs a concurrent run may
-        share, and ordinary cache maintenance prunes them.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
 
-    def __enter__(self) -> "StreamingExecution":
-        return self
+class _Spill:
+    """A streamed run's sink: completed shard results go to a blob
+    store instead of the heap.
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    Spills land in the configured cache's content-addressed blob family
+    (:meth:`~repro.core.cache.ShardCache.spill_key_for`) and stay there
+    — concurrent identical runs may share them; without a cache a
+    private spill directory is used and removed by :meth:`close`.  The
+    first failed store (ENOSPC, read-only filesystem) degrades the rest
+    of the run to holding results resident, with one
+    :class:`SpillDegradedWarning` — never a crash.
+    """
+
+    def __init__(self, cache: Optional[ShardCache]) -> None:
+        self.dir: Optional[str] = None
+        if cache is None:
+            self.dir = tempfile.mkdtemp(prefix="repro-spill-")
+            cache = ShardCache(self.dir)
+        self.cache = cache
+        self.degraded = False
+
+    def keep(
+        self,
+        stats: ExecutionStats,
+        entries: List[Tuple[Optional[str], Optional[ShardResult]]],
+        key: Optional[str],
+        result: ShardResult,
+    ) -> int:
+        """Spill ``result`` (or hold it once spilling degraded) as the
+        next entry; returns its serialized size."""
+        from repro.core.jobfile import dumps_shard_result
+
+        payload = dumps_shard_result(result)
+        if not self.degraded:
+            if key is None:
+                key = f"stream-position:{len(entries)}"
+            blob_key = self.cache.spill_key_for(key)
+            reason = _store_failure(self.cache.put_blob, blob_key, payload)
+            if reason is None:
+                stats.shards_spilled += 1
+                stats.spill_bytes += len(payload)
+                entries.append((blob_key, None))
+                return len(payload)
+            self.degraded = True
+            warnings.warn(
+                "shard-result spilling degraded to the in-memory merge "
+                f"for the rest of this run ({reason}); results are "
+                "unaffected, but memory is no longer bounded by one "
+                "shard row",
+                SpillDegradedWarning,
+                stacklevel=4,
+            )
+        stats.spill_fallbacks += 1
+        entries.append((None, result))
+        return len(payload)
+
+    def close(self) -> None:
+        if self.dir is not None:
+            shutil.rmtree(self.dir, ignore_errors=True)
+            self.dir = None
 
 
 class ShardedExecutor:
@@ -1426,7 +1638,6 @@ class ShardedExecutor:
         self.endpoint = endpoint
         self.dist_policy = dist_policy
         self.waiter = waiter
-        self._last_dist = None
 
     def _map(
         self,
@@ -1434,43 +1645,41 @@ class ShardedExecutor:
         config: tuple,
         workers: int,
         tick: Optional[Callable[[], None]],
-        retry: RetryPolicy,
         faults: Optional[FaultPlan],
         cache_keys: Optional[List[str]] = None,
-    ) -> Tuple[List[ShardResult], bool, ShardRecovery]:
-        """Route one shard map to the configured dispatch path.
+    ) -> Tuple[List[ShardResult], bool, ShardRecovery, object]:
+        """Route one window's shard map to the configured dispatch path.
 
-        Distributed runs stash their scheduling counters on
-        ``self._last_dist`` for :meth:`execute_many` to fold into the
-        batch's :class:`ExecutionStats`.
+        Returns ``_map_shards``'s ``(results, pooled, recovery)`` plus
+        the distributed scheduling counters
+        (:class:`~repro.dist.coordinator.DistRunStats`), or ``None``
+        when nothing was dispatched to the fleet.
         """
-        self._last_dist = None
         if self.dispatch == "distributed" and shards:
             from repro.dist.run import map_shards_distributed
 
-            results, pooled, recovery, dist = map_shards_distributed(
+            return map_shards_distributed(
                 shards,
                 config,
                 workers,
                 endpoint=self.endpoint,
                 tick=tick,
-                retry=retry,
+                retry=self.retry,
                 faults=faults,
                 policy=self.dist_policy,
                 cache_keys=cache_keys,
                 waiter=self.waiter,
             )
-            self._last_dist = dist
-            return results, pooled, recovery
-        return _map_shards(
+        results, pooled, recovery = _map_shards(
             shards,
             config,
             workers,
             tick=tick,
-            retry=retry,
+            retry=self.retry,
             faults=faults,
             waiter=self.waiter,
         )
+        return results, pooled, recovery, None
 
     def _progress_tick(self, total: int) -> Optional[Callable[[], None]]:
         """A thread-safe per-shard tick feeding ``self.progress``.
@@ -1512,7 +1721,20 @@ class ShardedExecutor:
             return self.cache
         return cache
 
-    # -- single layout ----------------------------------------------------
+    def _resolve(
+        self,
+        workers: Optional[int],
+        field_size: Optional[float],
+        cache: Union[ShardCache, bool, None],
+    ) -> Tuple[int, Optional[float], Optional[ShardCache]]:
+        """Per-call overrides of worker count, field size and cache."""
+        return (
+            _resolve_workers(self.workers if workers is None else workers),
+            self.field_size if field_size is None else field_size,
+            self._resolve_cache(cache),
+        )
+
+    # -- entry points -----------------------------------------------------
 
     def execute(
         self,
@@ -1550,8 +1772,6 @@ class ShardedExecutor:
         )
         return results[0]
 
-    # -- batched layouts --------------------------------------------------
-
     def execute_many(
         self,
         polygon_sets: Sequence[Sequence[Polygon]],
@@ -1562,188 +1782,37 @@ class ShardedExecutor:
     ) -> List[ExecutionResult]:
         """Process several layouts through one shared worker pool.
 
-        Shards from all layouts are interleaved into a single work list,
+        Shards from all layouts form a single window — one work list —
         so a batch of small layers keeps every worker busy; results come
-        back per input layout, each merged in its own shard order.  With
-        a cache, shards whose content address is already stored skip the
-        work list entirely.
+        back per input layout, each merged in its own shard order and
+        held resident.  With a cache, shards whose content address is
+        already stored skip the work list entirely.
 
         With ``prefractured=True`` each input set holds
         :class:`~repro.geometry.trapezoid.Trapezoid` figures instead of
         polygons (see :meth:`execute_figures`).
         """
-        if workers is None:
-            workers = self.workers
-        workers = _resolve_workers(workers)
-        if field_size is None:
-            field_size = self.field_size
-        active_cache = self._resolve_cache(cache)
-
-        if prefractured:
-            plans = [
-                plan_figure_shards(
-                    figs, field_size, overlap_policy=self.overlap_policy
-                )
-                for figs in polygon_sets
-            ]
-        else:
-            plans = [
-                plan_shards(
-                    polys, field_size, overlap_policy=self.overlap_policy
-                )
-                for polys in polygon_sets
-            ]
-        shards: List[Shard] = []
-        owners: List[int] = []
-        for which, plan in enumerate(plans):
-            for shard in plan:
-                shards.append(shard)
-                owners.append(which)
-        config = (self.fracturer, self.corrector, self.psf)
-        retry = self.retry
-        faults = self.faults.arm() if self.faults is not None else None
-
-        tick = self._progress_tick(len(shards))
-
-        hit_flags = [False] * len(shards)
-        evictions_by_owner = [0] * len(polygon_sets)
-        write_failures_by_owner = [0] * len(polygon_sets)
-        cache_degraded = False
-        if active_cache is None:
-            shard_results, pooled, recovery = self._map(
-                shards, config, workers, tick, retry, faults,
+        workers, field_size, active_cache = self._resolve(
+            workers, field_size, cache
+        )
+        plan = plan_figure_shards if prefractured else plan_shards
+        sets = [list(items) for items in polygon_sets]
+        window = [
+            (owner, shard)
+            for owner, items in enumerate(sets)
+            for shard in plan(
+                items, field_size, overlap_policy=self.overlap_policy
             )
-            # Recovery log positions == work-list positions here.
-            computed_positions = list(range(len(shards)))
-        else:
-            # Keys are computed for every shard up front, before any
-            # processing can touch corrector state, so hit/miss decisions
-            # never depend on execution order.
-            keys = [
-                active_cache.key_for(shard, *config) for shard in shards
-            ]
-            shard_results = []
-            for i, key in enumerate(keys):
-                before = active_cache.stats.evictions
-                shard_results.append(active_cache.get(key))
-                evictions_by_owner[owners[i]] += (
-                    active_cache.stats.evictions - before
-                )
-            pending = [
-                i for i, result in enumerate(shard_results) if result is None
-            ]
-            for i, result in enumerate(shard_results):
-                hit_flags[i] = result is not None
-                if hit_flags[i] and tick is not None:
-                    tick()
-            computed, pooled, recovery = self._map(
-                [shards[i] for i in pending], config, workers, tick,
-                retry, faults, cache_keys=[keys[i] for i in pending],
-            )
-            for i, result in zip(pending, computed):
-                shard_results[i] = result
-                if cache_degraded:
-                    continue
-                # Contain store faults: the first failed put (ENOSPC,
-                # read-only filesystem) degrades the *run* to cache
-                # read-only mode with one warning — a computed result
-                # must never be lost to cache trouble.
-                try:
-                    stored = active_cache.put(keys[i], result)
-                except OSError as exc:
-                    stored = False
-                    reason = f"{type(exc).__name__}: {exc}"
-                else:
-                    reason = "the filesystem refused the store"
-                if stored is False:
-                    write_failures_by_owner[owners[i]] += 1
-                    cache_degraded = True
-                    warnings.warn(
-                        "shard cache degraded to read-only for the rest "
-                        f"of this run ({reason}); results are "
-                        "unaffected, but uncached shards will be "
-                        "recomputed by later runs",
-                        CacheDegradedWarning,
-                        stacklevel=2,
-                    )
-            # Recovery log positions index the pending sub-list.
-            computed_positions = pending
-
-        retries_by_owner = [0] * len(polygon_sets)
-        timeouts_by_owner = [0] * len(polygon_sets)
-        salvaged_by_owner = [0] * len(polygon_sets)
-        for local, count in recovery.retries.items():
-            retries_by_owner[owners[computed_positions[local]]] += count
-        for local, count in recovery.timeouts.items():
-            timeouts_by_owner[owners[computed_positions[local]]] += count
-        for local in recovery.salvaged:
-            salvaged_by_owner[owners[computed_positions[local]]] += 1
-
-        grouped: List[List[ShardResult]] = [[] for _ in polygon_sets]
-        grouped_hits: List[int] = [0] * len(polygon_sets)
-        for which, result, hit in zip(owners, shard_results, hit_flags):
-            grouped[which].append(result)
-            if hit:
-                grouped_hits[which] += 1
-
-        corrected = self.corrector is not None
-        out: List[ExecutionResult] = []
-        for which, (plan, results) in enumerate(zip(plans, grouped)):
-            coord_fb = sum(
-                r.kernel_fallbacks.coord_limit for r in results
-            )
-            slab_fb = sum(
-                r.kernel_fallbacks.rational_slab for r in results
-            )
-            stats = ExecutionStats(
-                shard_count=len(plan),
-                occupied_shards=sum(1 for r in results if r.shots),
-                workers=workers,
-                parallel=pooled,
-                field_size=field_size,
-                cache_enabled=active_cache is not None,
-                cache_hits=grouped_hits[which],
-                cache_misses=(
-                    len(plan) - grouped_hits[which] if active_cache else 0
-                ),
-                hierarchy="cells" if prefractured else "flat",
-                kernel_fallbacks=coord_fb + slab_fb,
-                kernel_coord_fallbacks=coord_fb,
-                kernel_slab_fallbacks=slab_fb,
-                shard_retries=retries_by_owner[which],
-                shards_salvaged=salvaged_by_owner[which],
-                pool_restarts=recovery.pool_restarts,
-                shard_timeouts=timeouts_by_owner[which],
-                cache_write_failures=write_failures_by_owner[which],
-                cache_degraded=cache_degraded,
-                cache_evictions=evictions_by_owner[which],
-            )
-            # Dispatch reflects the configured mode even when a warm
-            # cache left nothing to map remotely — an all-hit run on a
-            # distributed executor is still a distributed run.
-            stats.dispatch = self.dispatch
-            dist = self._last_dist
-            if dist is not None:
-                # Distributed scheduling counters are run-level, like
-                # pool_restarts: replicated onto every batch owner.
-                stats.dist_workers = dist.workers
-                stats.leases_granted = dist.leases_granted
-                stats.leases_reclaimed = dist.leases_reclaimed
-                stats.worker_deaths = dist.worker_deaths
-                stats.heartbeats_missed = dist.heartbeats_missed
-                stats.speculative_wins = dist.speculative_wins
-                stats.speculative_losses = dist.speculative_losses
-                stats.duplicate_commits = dist.duplicate_commits
-                stats.dist_local_fallbacks = dist.local_fallbacks
-            merged = merge_shard_results(
-                results, corrected=corrected and bool(results), stats=stats
-            )
-            if not merged.shots:
-                merged.corrected = False
-            out.append(merged)
-        return out
-
-    # -- out-of-core streaming --------------------------------------------
+        ]
+        return self._run_windows(
+            [(window, 0)],
+            [len(items) for items in sets],
+            len(window),
+            workers,
+            field_size,
+            active_cache,
+            hierarchy="cells" if prefractured else "flat",
+        )
 
     def execute_stream(
         self,
@@ -1751,51 +1820,23 @@ class ShardedExecutor:
         workers: Optional[int] = None,
         field_size: Optional[float] = None,
         cache: Union[ShardCache, bool, None] = None,
-    ) -> StreamingExecution:
+    ) -> ExecutionResult:
         """Shard, process and spill one layout in bounded memory.
 
         The out-of-core counterpart of :meth:`execute`: ``polygons`` may
         be any iterable (a :meth:`~repro.layout.stream.LayoutStream.iter_flat`
-        cursor above all) and is consumed exactly once.
+        cursor above all) and is consumed exactly once into a spool
+        file, indexed onto the field mosaic, then run one shard *row*
+        per window through the same window loop as :meth:`execute_many`.
+        Every completed result is spilled (see :class:`_Spill`) instead
+        of being held for the merge.
 
-        Three passes, none of which materializes the layout:
-
-        1. **Spool** — every polygon is written to a flat temp file as
-           exact doubles while the mosaic origin (min corner of the
-           combined bounding box) folds incrementally.
-        2. **Index** — the spool is re-read sequentially; each polygon's
-           field index is computed exactly as :func:`plan_shards` would
-           (bounding-box centre against the same origin), building a
-           tiny row → column → spool-offset index.
-        3. **Window** — shard rows run bottom-to-top: only the active
-           row's polygons are re-read from the spool, its shards are
-           dispatched through the same cache ladder and dispatch path
-           (local pool or :mod:`repro.dist`) as :meth:`execute_many`,
-           and every completed result is spilled to the cache's blob
-           family (:meth:`~repro.core.cache.ShardCache.spill_key_for`)
-           instead of being held for the merge.
-
-        Because shards, their order and every per-shard computation are
-        identical to the in-memory plan, a streamed run is byte-identical
-        to :meth:`execute` at any worker count, cold or warm cache, local
-        or distributed dispatch.
-
-        Differences from the in-memory path, by construction:
-
-        * ``overlap_policy="union"`` is rejected — a global boolean
-          union needs the whole layout resident.  The ``"warn"``
-          advisory check is skipped (it is pairwise across shards and
-          purely advisory; it never changes bytes).
-        * Injected fault schedules (chaos testing) key positions per
-          window, not per run — the work-list position restarts at 0 on
-          every shard row.
-        * Results are spilled: with a configured cache they land in its
-          content-addressed blob family (and stay there — concurrent
-          identical runs may share them); without one a private spill
-          directory is used and removed by
-          :meth:`StreamingExecution.close`.  A failed spill store
-          degrades that shard to the in-memory fallback with one
-          :class:`SpillDegradedWarning` — never a crash.
+        Because shards, their order, every per-shard computation and
+        every run-level position are identical to the in-memory plan, a
+        streamed run is byte-identical to :meth:`execute` at any worker
+        count, cold or warm cache, local or distributed dispatch.  The
+        one difference: ``overlap_policy="union"`` is rejected, because
+        a global boolean union needs the whole layout resident.
         """
         if self.overlap_policy == "union":
             raise ValueError(
@@ -1803,294 +1844,208 @@ class ShardedExecutor:
                 "execution (the global union needs the whole layout "
                 "resident); pre-union the layout or use 'warn'/'ignore'"
             )
-        if workers is None:
-            workers = self.workers
-        workers = _resolve_workers(workers)
-        if field_size is None:
-            field_size = self.field_size
-        if field_size is not None and field_size <= 0:
-            raise ValueError("field size must be positive")
-        active_cache = self._resolve_cache(cache)
-
-        if active_cache is not None:
-            spill_cache = active_cache
-            spill_dir = None
-        else:
-            spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-            spill_cache = ShardCache(spill_dir)
-
-        config = (self.fracturer, self.corrector, self.psf)
-        retry = self.retry
-        faults = self.faults.arm() if self.faults is not None else None
-
-        spool_fd, spool_path = tempfile.mkstemp(prefix="repro-spool-")
+        workers, field_size, active_cache = self._resolve(
+            workers, field_size, cache
+        )
+        spill = _Spill(active_cache)
         try:
-            # Pass 1: spool the layout, folding the mosaic origin.
-            source_polygons = 0
-            min_x = min_y = math.inf
-            with os.fdopen(spool_fd, "wb", buffering=1 << 20) as spool:
-                for poly in polygons:
-                    verts = poly.vertices
-                    spool.write(_SPOOL_COUNT.pack(len(verts)))
-                    spool.write(
-                        struct.pack(
-                            f">{2 * len(verts)}d",
-                            *(c for v in verts for c in (v.x, v.y)),
-                        )
-                    )
-                    source_polygons += 1
-                    for v in verts:
-                        if v.x < min_x:
-                            min_x = v.x
-                        if v.y < min_y:
-                            min_y = v.y
-
-            # Pass 2: index spool offsets onto the field mosaic.
-            rows: Dict[int, Dict[int, List[int]]] = {}
-            with open(spool_path, "rb", buffering=1 << 20) as spool:
-                offset = 0
-                while True:
-                    head = spool.read(_SPOOL_COUNT.size)
-                    if not head:
-                        break
-                    (count,) = _SPOOL_COUNT.unpack(head)
-                    data = spool.read(16 * count)
-                    if field_size is None:
-                        col, row = 0, 0
-                    else:
-                        values = struct.unpack(f">{2 * count}d", data)
-                        xs = values[0::2]
-                        ys = values[1::2]
-                        col, row = field_index_of(
-                            (min(xs) + max(xs)) / 2.0,
-                            (min(ys) + max(ys)) / 2.0,
-                            min_x,
-                            min_y,
-                            field_size,
-                        )
-                    rows.setdefault(row, {}).setdefault(col, []).append(offset)
-                    offset += _SPOOL_COUNT.size + 16 * count
-
-            total_shards = sum(len(cols) for cols in rows.values())
-            tick = self._progress_tick(total_shards)
-
-            entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
-            reports: List[FractureReport] = []
-            reference = 0.0
-            total_shots = 0
-            occupied = 0
-            pooled = False
-            cache_hits = cache_misses = 0
-            evictions = write_failures = 0
-            cache_degraded = False
-            retries = salvaged = pool_restarts = timeouts = 0
-            coord_fb = slab_fb = 0
-            stream_windows = 0
-            peak_window_bytes = 0
-            shards_spilled = 0
-            spill_bytes = 0
-            spill_fallbacks = 0
-            spill_degraded = False
-            dist_totals: Dict[str, int] = {}
-
-            # Pass 3: dispatch one shard row at a time, spilling results.
-            from repro.core.jobfile import dumps_shard_result
-
-            with open(spool_path, "rb") as spool:
-                for row in sorted(rows):
-                    window_shards: List[Shard] = []
-                    window_bytes = 0
-                    for col in sorted(rows[row]):
-                        bucket: List[Polygon] = []
-                        for poly_offset in rows[row][col]:
-                            spool.seek(poly_offset)
-                            (count,) = _SPOOL_COUNT.unpack(
-                                spool.read(_SPOOL_COUNT.size)
-                            )
-                            values = struct.unpack(
-                                f">{2 * count}d", spool.read(16 * count)
-                            )
-                            bucket.append(
-                                Polygon(list(zip(values[0::2], values[1::2])))
-                            )
-                            window_bytes += _SPOOL_COUNT.size + 16 * count
-                        window_shards.append(
-                            Shard(index=(col, row), polygons=tuple(bucket))
-                        )
-
-                    # The execute_many cache ladder, per window.
-                    keys: List[Optional[str]]
-                    hit_flags = [False] * len(window_shards)
-                    if active_cache is None:
-                        keys = [None] * len(window_shards)
-                        results_w, pooled_w, recovery = self._map(
-                            window_shards, config, workers, tick, retry,
-                            faults,
-                        )
-                    else:
-                        keys = [
-                            active_cache.key_for(shard, *config)
-                            for shard in window_shards
-                        ]
-                        results_w = []
-                        for key in keys:
-                            before = active_cache.stats.evictions
-                            results_w.append(active_cache.get(key))
-                            evictions += active_cache.stats.evictions - before
-                        pending = [
-                            i
-                            for i, result in enumerate(results_w)
-                            if result is None
-                        ]
-                        for i, result in enumerate(results_w):
-                            hit_flags[i] = result is not None
-                            if hit_flags[i] and tick is not None:
-                                tick()
-                        computed, pooled_w, recovery = self._map(
-                            [window_shards[i] for i in pending],
-                            config, workers, tick, retry, faults,
-                            cache_keys=[keys[i] for i in pending],
-                        )
-                        for i, result in zip(pending, computed):
-                            results_w[i] = result
-                            if cache_degraded:
-                                continue
-                            try:
-                                stored = active_cache.put(keys[i], result)
-                            except OSError as exc:
-                                stored = False
-                                reason = f"{type(exc).__name__}: {exc}"
-                            else:
-                                reason = "the filesystem refused the store"
-                            if stored is False:
-                                write_failures += 1
-                                cache_degraded = True
-                                warnings.warn(
-                                    "shard cache degraded to read-only "
-                                    f"for the rest of this run ({reason})"
-                                    "; results are unaffected, but "
-                                    "uncached shards will be recomputed "
-                                    "by later runs",
-                                    CacheDegradedWarning,
-                                    stacklevel=2,
-                                )
-                        cache_hits += sum(hit_flags)
-                        cache_misses += len(pending)
-
-                    pooled = pooled or pooled_w
-                    retries += recovery.retry_total
-                    salvaged += len(recovery.salvaged)
-                    pool_restarts += recovery.pool_restarts
-                    timeouts += recovery.timeout_total
-                    dist = self._last_dist
-                    if dist is not None:
-                        dist_totals["dist_workers"] = max(
-                            dist_totals.get("dist_workers", 0), dist.workers
-                        )
-                        for name, value in (
-                            ("leases_granted", dist.leases_granted),
-                            ("leases_reclaimed", dist.leases_reclaimed),
-                            ("worker_deaths", dist.worker_deaths),
-                            ("heartbeats_missed", dist.heartbeats_missed),
-                            ("speculative_wins", dist.speculative_wins),
-                            ("speculative_losses", dist.speculative_losses),
-                            ("duplicate_commits", dist.duplicate_commits),
-                            ("dist_local_fallbacks", dist.local_fallbacks),
-                        ):
-                            dist_totals[name] = dist_totals.get(name, 0) + value
-
-                    # Spill the window's results (row-major, like the
-                    # in-memory merge order).
-                    for shard_key, result in zip(keys, results_w):
-                        coord_fb += result.kernel_fallbacks.coord_limit
-                        slab_fb += result.kernel_fallbacks.rational_slab
-                        reports.append(result.report)
-                        reference += result.reference_area
-                        total_shots += len(result.shots)
-                        if result.shots:
-                            occupied += 1
-                        payload = dumps_shard_result(result)
-                        window_bytes += len(payload)
-                        if spill_degraded:
-                            spill_fallbacks += 1
-                            entries.append((None, result))
-                            continue
-                        if shard_key is None:
-                            shard_key = f"stream-position:{len(entries)}"
-                        blob_key = spill_cache.spill_key_for(shard_key)
-                        try:
-                            stored = spill_cache.put_blob(blob_key, payload)
-                        except OSError as exc:
-                            stored = False
-                            spill_reason = f"{type(exc).__name__}: {exc}"
-                        else:
-                            spill_reason = "the filesystem refused the store"
-                        if stored:
-                            shards_spilled += 1
-                            spill_bytes += len(payload)
-                            entries.append((blob_key, None))
-                        else:
-                            spill_degraded = True
-                            spill_fallbacks += 1
-                            entries.append((None, result))
-                            warnings.warn(
-                                "shard-result spilling degraded to the "
-                                "in-memory merge for the rest of this "
-                                f"run ({spill_reason}); results are "
-                                "unaffected, but memory is no longer "
-                                "bounded by one shard row",
-                                SpillDegradedWarning,
-                                stacklevel=2,
-                            )
-
-                    stream_windows += 1
-                    peak_window_bytes = max(peak_window_bytes, window_bytes)
-        finally:
+            spool = _Spool(polygons, field_size, self.overlap_policy == "warn")
             try:
-                os.unlink(spool_path)
-            except OSError:
-                pass
+                (result,) = self._run_windows(
+                    spool.windows(),
+                    [spool.source_polygons],
+                    sum(len(cols) for cols in spool.rows.values()),
+                    workers,
+                    field_size,
+                    active_cache,
+                    hierarchy="flat",
+                    spill=spill,
+                )
+            finally:
+                spool.close()
+        except BaseException:
+            spill.close()
+            raise
+        return result
 
-        stats = ExecutionStats(
-            shard_count=total_shards,
-            occupied_shards=occupied,
-            workers=workers,
-            parallel=pooled,
-            field_size=field_size,
-            cache_enabled=active_cache is not None,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            hierarchy="flat",
-            kernel_fallbacks=coord_fb + slab_fb,
-            kernel_coord_fallbacks=coord_fb,
-            kernel_slab_fallbacks=slab_fb,
-            shard_retries=retries,
-            shards_salvaged=salvaged,
-            pool_restarts=pool_restarts,
-            shard_timeouts=timeouts,
-            cache_write_failures=write_failures,
-            cache_degraded=cache_degraded,
-            cache_evictions=evictions,
-            streamed=True,
-            stream_windows=stream_windows,
-            peak_window_bytes=peak_window_bytes,
-            shards_spilled=shards_spilled,
-            spill_bytes=spill_bytes,
-            spill_fallbacks=spill_fallbacks,
-        )
-        stats.dispatch = self.dispatch
-        for name, value in dist_totals.items():
-            setattr(stats, name, value)
+    # -- the window loop --------------------------------------------------
 
-        report = merge_reports(reports, reference_area=reference)
-        corrected = self.corrector is not None and total_shots > 0
-        return StreamingExecution(
-            stats=stats,
-            report=report,
-            corrected=corrected,
-            source_polygons=source_polygons,
-            total_shots=total_shots,
-            entries=entries,
-            spill_cache=spill_cache,
-            spill_dir=spill_dir,
-        )
+    def _run_windows(
+        self,
+        windows: Iterable[Tuple[List[Tuple[int, Shard]], int]],
+        sources: List[int],
+        total: int,
+        workers: int,
+        field_size: Optional[float],
+        active_cache: Optional[ShardCache],
+        hierarchy: str,
+        spill: Optional[_Spill] = None,
+    ) -> List[ExecutionResult]:
+        """Run ``windows`` of owner-tagged shards; one result per owner.
+
+        Each window is ``(items, source_bytes)``: ``(owner, shard)``
+        work items in merge order and the bytes of source geometry read
+        back for them.  Per window: cache keys for every shard (computed
+        before any processing can touch corrector state), lookups, one
+        map of the misses on the configured dispatch path, stores with
+        one read-only degradation per run, then every result folds onto
+        its owner's stats and goes to the sink — the owner's resident
+        result list, or ``spill`` for a streamed run.
+
+        Fault positions are run-level: the map of each window sees the
+        fault plan shifted by the number of shards computed before it,
+        so a schedule fires at the same shard however the run is
+        windowed.  ``sources`` is each owner's input item count,
+        ``total`` the run's shard count (announced to ``progress``).
+        """
+        config = (self.fracturer, self.corrector, self.psf)
+        faults = self.faults.arm() if self.faults is not None else None
+        tick = self._progress_tick(total)
+        owners = range(len(sources))
+        stats = [
+            ExecutionStats(
+                shard_count=0,
+                occupied_shards=0,
+                workers=workers,
+                field_size=field_size,
+                cache_enabled=active_cache is not None,
+                hierarchy=hierarchy,
+                dispatch=self.dispatch,
+                streamed=spill is not None,
+            )
+            for _ in owners
+        ]
+        entries: List[list] = [[] for _ in owners]
+        reports: List[List[FractureReport]] = [[] for _ in owners]
+        reference = [0.0 for _ in owners]
+        shots = [0 for _ in owners]
+        computed = 0
+        cache_degraded = False
+        pooled = False
+        pool_restarts = windows_run = peak_window_bytes = 0
+        dist_totals: Dict[str, int] = {}
+
+        for items, window_bytes in windows:
+            shards = [shard for _, shard in items]
+            keys: List[Optional[str]] = [None] * len(shards)
+            results: List[Optional[ShardResult]] = [None] * len(shards)
+            if active_cache is not None:
+                keys = [active_cache.key_for(s, *config) for s in shards]
+                for i, (owner, _) in enumerate(items):
+                    before = active_cache.stats.evictions
+                    results[i] = active_cache.get(keys[i])
+                    owner_stats = stats[owner]
+                    owner_stats.cache_evictions += (
+                        active_cache.stats.evictions - before
+                    )
+                    if results[i] is None:
+                        owner_stats.cache_misses += 1
+                    else:
+                        owner_stats.cache_hits += 1
+                for result in results:
+                    if result is not None and tick is not None:
+                        tick()
+            pending = [i for i, result in enumerate(results) if result is None]
+            fresh, pooled_w, recovery, dist = self._map(
+                [shards[i] for i in pending],
+                config,
+                workers,
+                tick,
+                faults.shifted(computed) if faults is not None else None,
+                cache_keys=(
+                    [keys[i] for i in pending]
+                    if active_cache is not None
+                    else None
+                ),
+            )
+            computed += len(pending)
+            for i, result in zip(pending, fresh):
+                results[i] = result
+                if active_cache is None or cache_degraded:
+                    continue
+                # Contain store faults: the first failed put (ENOSPC,
+                # read-only filesystem) degrades the *run* to cache
+                # read-only mode with one warning — a computed result
+                # must never be lost to cache trouble.
+                reason = _store_failure(active_cache.put, keys[i], result)
+                if reason is not None:
+                    stats[items[i][0]].cache_write_failures += 1
+                    cache_degraded = True
+                    warnings.warn(
+                        "shard cache degraded to read-only for the rest "
+                        f"of this run ({reason}); results are "
+                        "unaffected, but uncached shards will be "
+                        "recomputed by later runs",
+                        CacheDegradedWarning,
+                        stacklevel=3,
+                    )
+
+            # The recovery log is keyed by position in the pending list.
+            for local, count in recovery.retries.items():
+                stats[items[pending[local]][0]].shard_retries += count
+            for local, count in recovery.timeouts.items():
+                stats[items[pending[local]][0]].shard_timeouts += count
+            for local in recovery.salvaged:
+                stats[items[pending[local]][0]].shards_salvaged += 1
+            pooled = pooled or pooled_w
+            pool_restarts += recovery.pool_restarts
+            if dist is not None:
+                dist_totals["dist_workers"] = max(
+                    dist_totals.get("dist_workers", 0), dist.workers
+                )
+                for name, counter in _DIST_COUNTERS:
+                    dist_totals[name] = dist_totals.get(name, 0) + getattr(
+                        dist, counter
+                    )
+
+            for (owner, _), key, result in zip(items, keys, results):
+                owner_stats = stats[owner]
+                owner_stats.shard_count += 1
+                owner_stats.occupied_shards += bool(result.shots)
+                owner_stats.kernel_coord_fallbacks += (
+                    result.kernel_fallbacks.coord_limit
+                )
+                owner_stats.kernel_slab_fallbacks += (
+                    result.kernel_fallbacks.rational_slab
+                )
+                reports[owner].append(result.report)
+                reference[owner] += result.reference_area
+                shots[owner] += len(result.shots)
+                if spill is None:
+                    entries[owner].append((None, result))
+                else:
+                    window_bytes += spill.keep(
+                        owner_stats, entries[owner], key, result
+                    )
+            windows_run += 1
+            peak_window_bytes = max(peak_window_bytes, window_bytes)
+
+        out: List[ExecutionResult] = []
+        for owner in owners:
+            owner_stats = stats[owner]
+            owner_stats.kernel_fallbacks = (
+                owner_stats.kernel_coord_fallbacks
+                + owner_stats.kernel_slab_fallbacks
+            )
+            # Run-level counters, replicated onto every owner.
+            owner_stats.parallel = pooled
+            owner_stats.pool_restarts = pool_restarts
+            owner_stats.cache_degraded = cache_degraded
+            owner_stats.stream_windows = windows_run
+            owner_stats.peak_window_bytes = peak_window_bytes
+            for name, value in dist_totals.items():
+                setattr(owner_stats, name, value)
+            out.append(
+                ExecutionResult(
+                    stats=owner_stats,
+                    report=merge_reports(
+                        reports[owner], reference_area=reference[owner]
+                    ),
+                    corrected=self.corrector is not None and shots[owner] > 0,
+                    entries=entries[owner],
+                    total_shots=shots[owner],
+                    source_polygons=sources[owner],
+                    spill=spill,
+                )
+            )
+        return out

@@ -71,6 +71,19 @@ from typing import FrozenSet, Optional, Tuple
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 
+#: The schedules keyed by ``(position, attempt)``.
+_POSITIONED_KINDS = (
+    "kill_worker",
+    "transient",
+    "hang",
+    "permanent",
+    "dead_worker",
+    "drop_conn",
+    "late_heartbeat",
+    "duplicate_commit",
+)
+
+
 class TransientFaultError(OSError):
     """An injected transient infrastructure failure (retryable)."""
 
@@ -146,6 +159,26 @@ class FaultPlan:
         """Bind the plan to the current process as the coordinator."""
         return replace(self, coordinator_pid=os.getpid())
 
+    def shifted(self, offset: int) -> "FaultPlan":
+        """The plan as seen by a window of work whose first shard sits
+        at run position ``offset``: every ``(position, attempt)`` pair
+        moves down by ``offset`` and pairs before the window drop out,
+        so a windowed run fires each fault exactly where a single-batch
+        run of the same work list would."""
+        if offset == 0:
+            return self
+        return replace(
+            self,
+            **{
+                kind: frozenset(
+                    (position - offset, attempt)
+                    for position, attempt in getattr(self, kind)
+                    if position >= offset
+                )
+                for kind in _POSITIONED_KINDS
+            },
+        )
+
     @property
     def any_shard_faults(self) -> bool:
         return bool(
@@ -219,16 +252,7 @@ class FaultPlan:
                 f"valid keys are {', '.join(sorted(known))}"
             )
         kwargs = {}
-        for kind in (
-            "kill_worker",
-            "transient",
-            "hang",
-            "permanent",
-            "dead_worker",
-            "drop_conn",
-            "late_heartbeat",
-            "duplicate_commit",
-        ):
+        for kind in _POSITIONED_KINDS:
             if kind in payload:
                 kwargs[kind] = _pairs(payload[kind], kind)
         if "enospc_puts" in payload:

@@ -221,7 +221,7 @@ class MachineJob:
 
     def __repr__(self) -> str:
         return (
-            f"MachineJob({self.name!r}, figures={len(self.shots)}, "
+            f"MachineJob({self.name!r}, figures={self.figure_count()}, "
             f"density={self.pattern_density():.1%}, "
             f"dose={self.base_dose:g} µC/cm²)"
         )

@@ -6,7 +6,8 @@ proximity correction → merge), wrap the merged shots in a
 :class:`~repro.core.job.MachineJob` and estimate writing time per
 machine.  Batch entry points (:meth:`PreparationPipeline.run_layers`,
 :meth:`PreparationPipeline.run_many`) sweep several layers or sources
-through one shared worker pool.
+through one shared worker pool.  Every entry point is a thin adapter
+over one preparation path: execute, then fold the job shot by shot.
 """
 
 from __future__ import annotations
@@ -19,20 +20,26 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Union,
 )
 
 from repro.core.cache import ShardCache
-from repro.core.executor import ExecutionStats, RetryPolicy, ShardedExecutor
+from repro.core.executor import (
+    ExecutionResult,
+    ExecutionStats,
+    RetryPolicy,
+    ShardedExecutor,
+)
 from repro.core.faults import FaultPlan, FaultyCache
 from repro.core.hierarchical import (
     HierarchicalFractureResult,
     fracture_hierarchical,
 )
 from repro.core.job import MachineJob, _SHOT_PACK
-from repro.fracture.base import Fracturer
+from repro.fracture.base import Fracturer, Shot
 from repro.fracture.quality import FractureReport
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
@@ -97,6 +104,21 @@ def _apply_hierarchy_stats(
     )
 
 
+class _Unit(NamedTuple):
+    """One job of a pipeline run.
+
+    ``items`` are polygons, prefractured figures when ``hier`` is set,
+    or a lazy polygon cursor for a streamed run; ``source_polygons``
+    overrides the executor's input count where figures stand in for
+    polygons.
+    """
+
+    name: str
+    items: Iterable
+    hier: Optional[HierarchicalFractureResult] = None
+    source_polygons: Optional[int] = None
+
+
 @dataclass
 class PipelineResult:
     """Everything the pipeline produced for one layer.
@@ -110,10 +132,10 @@ class PipelineResult:
         execution: how the sharded engine ran (shards, workers, pool).
         machine_program: the exported machine data stream (also on
             ``execution.program``) when the run had a ``machine`` mode.
-        job_bytes: size of the ``.ebj`` job file a streaming run wrote
-            (0 when no ``job_path`` was requested); the streamed bytes
-            are identical to :func:`~repro.core.jobfile.write_job` of
-            the materialized job.
+        job_bytes: size of the ``.ebj`` job file the run wrote (0 when
+            no ``job_path`` was requested); the bytes are identical to
+            :func:`~repro.core.jobfile.write_job` of the materialized
+            job.
     """
 
     job: MachineJob
@@ -246,8 +268,6 @@ class PreparationPipeline:
         dist_policy=None,
         waiter=None,
     ) -> None:
-        if corrector is not None and psf is None:
-            raise ValueError("a corrector requires a PSF")
         _validate_hierarchy(hierarchy)
         _validate_machine(machine)
         if address_unit <= 0:
@@ -276,19 +296,13 @@ class PreparationPipeline:
         self.address_unit = address_unit
         self.program_dir = Path(program_dir) if program_dir is not None else None
         self.progress = progress
-        if dispatch not in ("local", "distributed"):
-            raise ValueError(
-                f"dispatch must be 'local' or 'distributed', "
-                f"got {dispatch!r}"
-            )
-        if dispatch == "distributed" and not workers_endpoint:
-            raise ValueError(
-                "distributed dispatch requires workers_endpoint (host:port)"
-            )
         self.dispatch = dispatch
         self.workers_endpoint = workers_endpoint
         self.dist_policy = dist_policy
         self.waiter = waiter
+        # Building the engine validates its configuration (corrector
+        # and PSF, matrix mode, dispatch and endpoint) up front.
+        self.executor
 
     @property
     def executor(self) -> ShardedExecutor:
@@ -326,6 +340,7 @@ class PreparationPipeline:
         hierarchy: Optional[str] = None,
         machine: Optional[str] = None,
         program_path: Optional[Union[str, Path]] = None,
+        job_path: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
         """Run the full pipeline on a library, cell or raw polygon list.
 
@@ -346,41 +361,16 @@ class PreparationPipeline:
                 export for this run).
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
+            job_path: write the job's ``.ebj`` file here while the job
+                is assembled (:class:`~repro.core.jobfile.JobFileWriter`;
+                the same bytes as :func:`~repro.core.jobfile.write_job`).
         """
         hierarchy = self._resolve_hierarchy(hierarchy)
-        if hierarchy == "cells" and isinstance(source, (Library, Cell)):
-            # merge_layers mirrors the flat path, which fractures the
-            # union of every requested layer's polygons in one pass.
-            hier = fracture_hierarchical(
-                source,
-                self.fracturer,
-                layers={layer} if layer is not None else None,
-                merge_layers=True,
-            )
-            figures = hier.figures.get(None, [])
-            outcome = self.executor.execute_figures(
-                figures, workers=workers, field_size=field_size, cache=cache
-            )
-            _apply_hierarchy_stats(outcome.stats, hier)
-            cell = source.top_cell() if isinstance(source, Library) else source
-            return self._finish(
-                outcome,
-                name or cell.name,
-                hier.source_polygons,
-                machine=machine,
-                program_path=program_path,
-                cache=cache,
-            )
-        polygons, inferred_name = self._gather(source, layer)
-        return self.run_polygons(
-            polygons,
-            name=name or inferred_name,
-            workers=workers,
-            field_size=field_size,
-            cache=cache,
-            machine=machine,
-            program_path=program_path,
+        unit = self._unit(source, layer, hierarchy, name)
+        (result,) = self._prepare(
+            [unit], workers, field_size, cache, machine, program_path, job_path
         )
+        return result
 
     def run_polygons(
         self,
@@ -393,18 +383,15 @@ class PreparationPipeline:
         program_path: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
         """Run fracture → correction → job build → write-time estimation."""
-        polygons = list(polygons)
-        outcome = self.executor.execute(
-            polygons, workers=workers, field_size=field_size, cache=cache
+        (result,) = self._prepare(
+            [_Unit(name, list(polygons))],
+            workers,
+            field_size,
+            cache,
+            machine,
+            program_path,
         )
-        return self._finish(
-            outcome,
-            name,
-            len(polygons),
-            machine=machine,
-            program_path=program_path,
-            cache=cache,
-        )
+        return result
 
     def run_streaming(
         self,
@@ -434,8 +421,7 @@ class PreparationPipeline:
         machine program (``machine``/``program_path``) are byte-identical
         to the materialized :meth:`run` path for any worker count,
         cold or warm cache, and local or distributed dispatch.  The
-        resulting :class:`PipelineResult` carries an aggregate
-        (:meth:`~repro.core.job.MachineJob.synthetic`) job whose
+        resulting :class:`PipelineResult` carries a job whose
         accounting, digest and dose range match the materialized job
         exactly; only the resident shot list is absent.
 
@@ -460,28 +446,29 @@ class PreparationPipeline:
         stream, owned = self._resolve_stream(source)
         try:
             if stream is not None:
-                inferred = stream.top_cell().name
-                polygons: Iterable[Polygon] = stream.iter_flat(
-                    layers={layer} if layer is not None else None
+                unit = _Unit(
+                    name or stream.top_cell().name,
+                    stream.iter_flat(
+                        layers={layer} if layer is not None else None
+                    ),
                 )
             else:
-                inferred = "job"
                 polygons = iter(source)  # type: ignore[arg-type]
-            execution = self.executor.execute_stream(
-                polygons, workers=workers, field_size=field_size, cache=cache
+                unit = _Unit(name or "job", polygons)
+            (result,) = self._prepare(
+                [unit],
+                workers,
+                field_size,
+                cache,
+                machine,
+                program_path,
+                job_path,
+                streamed=True,
             )
         finally:
             if owned and stream is not None:
                 stream.close()
-        with execution:
-            return self._finish_streaming(
-                execution,
-                name or inferred,
-                machine=machine,
-                program_path=program_path,
-                cache=cache,
-                job_path=job_path,
-            )
+        return result
 
     def run_layers(
         self,
@@ -513,55 +500,31 @@ class PreparationPipeline:
             Mapping layer → result, in layer sort order.
         """
         cell = source.top_cell() if isinstance(source, Library) else source
-        hierarchy = self._resolve_hierarchy(hierarchy)
-        program_seen: Dict[tuple, int] = {}
-        if hierarchy == "cells":
+        if self._resolve_hierarchy(hierarchy) == "cells":
             hier = fracture_hierarchical(
                 cell,
                 self.fracturer,
                 layers=set(layers) if layers is not None else None,
             )
             wanted = sorted(hier.figures) if layers is None else list(layers)
-            figure_sets = [hier.figures.get(layer, []) for layer in wanted]
-            outcomes = self.executor.execute_many(
-                figure_sets,
-                workers=workers,
-                field_size=field_size,
-                cache=cache,
-                prefractured=True,
-            )
-            out: Dict[Layer, PipelineResult] = {}
-            for layer, outcome in zip(wanted, outcomes):
-                _apply_hierarchy_stats(outcome.stats, hier)
-                out[layer] = self._finish(
-                    outcome,
+            units = [
+                _Unit(
                     f"{cell.name}:{layer}",
+                    hier.figures.get(layer, []),
+                    hier,
                     hier.source_polygons_by_layer.get(layer, 0),
-                    machine=machine,
-                    cache=cache,
-                    program_seen=program_seen,
                 )
-            return out
-        flat = flatten_cell(cell)
-        if layers is None:
-            wanted = sorted(flat)
+                for layer in wanted
+            ]
         else:
-            wanted = list(layers)
-        polygon_sets = [flat.get(layer, []) for layer in wanted]
-        outcomes = self.executor.execute_many(
-            polygon_sets, workers=workers, field_size=field_size, cache=cache
-        )
-        return {
-            layer: self._finish(
-                outcome,
-                f"{cell.name}:{layer}",
-                len(polys),
-                machine=machine,
-                cache=cache,
-                program_seen=program_seen,
-            )
-            for layer, polys, outcome in zip(wanted, polygon_sets, outcomes)
-        }
+            flat = flatten_cell(cell)
+            wanted = sorted(flat) if layers is None else list(layers)
+            units = [
+                _Unit(f"{cell.name}:{layer}", flat.get(layer, []))
+                for layer in wanted
+            ]
+        results = self._prepare(units, workers, field_size, cache, machine)
+        return dict(zip(wanted, results))
 
     def run_many(
         self,
@@ -583,68 +546,11 @@ class PreparationPipeline:
         sources in the same batch still run flat.
         """
         hierarchy = self._resolve_hierarchy(hierarchy)
-        entries: List[tuple] = []
-        for source in sources:
-            if hierarchy == "cells" and isinstance(source, (Library, Cell)):
-                hier = fracture_hierarchical(
-                    source,
-                    self.fracturer,
-                    layers={layer} if layer is not None else None,
-                    merge_layers=True,
-                )
-                figures = hier.figures.get(None, [])
-                cell = (
-                    source.top_cell()
-                    if isinstance(source, Library)
-                    else source
-                )
-                entries.append(
-                    ("figures", figures, cell.name, hier.source_polygons, hier)
-                )
-            else:
-                polys, inferred = self._gather(source, layer)
-                entries.append(("polygons", polys, inferred, len(polys), None))
-
-        flat_sets = [e[1] for e in entries if e[0] == "polygons"]
-        figure_sets = [e[1] for e in entries if e[0] == "figures"]
-        flat_outcomes = (
-            self.executor.execute_many(
-                flat_sets, workers=workers, field_size=field_size, cache=cache
-            )
-            if flat_sets
-            else []
-        )
-        figure_outcomes = (
-            self.executor.execute_many(
-                figure_sets,
-                workers=workers,
-                field_size=field_size,
-                cache=cache,
-                prefractured=True,
-            )
-            if figure_sets
-            else []
-        )
-        flat_iter = iter(flat_outcomes)
-        figure_iter = iter(figure_outcomes)
-        out: List[PipelineResult] = []
-        program_seen: Dict[tuple, int] = {}
-        for i, (kind, _, inferred, n_polys, hier) in enumerate(entries):
-            outcome = next(figure_iter if kind == "figures" else flat_iter)
-            if hier is not None:
-                _apply_hierarchy_stats(outcome.stats, hier)
-            name = names[i] if names is not None else inferred
-            out.append(
-                self._finish(
-                    outcome,
-                    name,
-                    n_polys,
-                    machine=machine,
-                    cache=cache,
-                    program_seen=program_seen,
-                )
-            )
-        return out
+        units = []
+        for i, source in enumerate(sources):
+            name = names[i] if names is not None else None
+            units.append(self._unit(source, layer, hierarchy, name))
+        return self._prepare(units, workers, field_size, cache, machine)
 
     # -- helpers ----------------------------------------------------------
 
@@ -664,19 +570,8 @@ class PreparationPipeline:
         _validate_machine(machine)
         return machine
 
-    def _resolve_program_cache(
-        self, cache: Union[ShardCache, bool, None]
-    ) -> Optional[ShardCache]:
-        """The cache program segments go through, honouring the same
-        per-run override semantics as the executor's shard cache."""
-        if cache is None or cache is True:
-            return self.cache
-        if cache is False:
-            return None
-        return cache
-
     def _default_program_path(
-        self, name: str, mode: str, seen: Optional[Dict[tuple, int]]
+        self, name: str, mode: str, seen: Dict[tuple, int]
     ) -> Path:
         """``<program_dir>/<slug>.<mode>.ebp``, disambiguated within a
         batch: two jobs of one ``run_layers``/``run_many`` call whose
@@ -684,84 +579,131 @@ class PreparationPipeline:
         instead of silently overwriting each other's program."""
         base = self.program_dir if self.program_dir is not None else Path(".")
         slug = _program_slug(name)
-        if seen is not None:
-            count = seen.get((slug, mode), 0)
-            seen[(slug, mode)] = count + 1
-            if count:
-                slug = f"{slug}-{count + 1}"
+        count = seen.get((slug, mode), 0)
+        seen[(slug, mode)] = count + 1
+        if count:
+            slug = f"{slug}-{count + 1}"
         return base / f"{slug}.{mode}.ebp"
+
+    def _unit(
+        self,
+        source: Union[Library, Cell, Iterable[Polygon]],
+        layer: Optional[Layer],
+        hierarchy: str,
+        name: Optional[str],
+    ) -> "_Unit":
+        """One source as a job: per-cell prefractured figures in
+        ``"cells"`` mode, its flattened polygons otherwise."""
+        if hierarchy == "cells" and isinstance(source, (Library, Cell)):
+            # merge_layers mirrors the flat path, which fractures the
+            # union of every requested layer's polygons in one pass.
+            hier = fracture_hierarchical(
+                source,
+                self.fracturer,
+                layers={layer} if layer is not None else None,
+                merge_layers=True,
+            )
+            cell = source.top_cell() if isinstance(source, Library) else source
+            return _Unit(
+                name or cell.name,
+                hier.figures.get(None, []),
+                hier,
+                hier.source_polygons,
+            )
+        polygons, inferred = self._gather(source, layer)
+        return _Unit(name or inferred, polygons)
+
+    def _prepare(
+        self,
+        units: List["_Unit"],
+        workers: Optional[int],
+        field_size: Optional[float],
+        cache: Union[ShardCache, bool, None],
+        machine: Optional[str],
+        program_path: Optional[Union[str, Path]] = None,
+        job_path: Optional[Union[str, Path]] = None,
+        streamed: bool = False,
+    ) -> List[PipelineResult]:
+        """Execute ``units`` and assemble one result per unit.
+
+        Materialized units run as batches through one shared pool —
+        flat polygon units in one, prefractured units in another; a
+        streamed run is a single unit whose items are a lazy cursor.
+        ``program_path``/``job_path`` name the artifacts of a single
+        unit; batched jobs derive distinct program files from their
+        names.
+        """
+        executor = self.executor
+        if streamed:
+            outcomes = [
+                executor.execute_stream(
+                    units[0].items,
+                    workers=workers,
+                    field_size=field_size,
+                    cache=cache,
+                )
+            ]
+        else:
+            outcomes = [None] * len(units)
+            for prefractured in (False, True):
+                batch = [
+                    i
+                    for i, unit in enumerate(units)
+                    if (unit.hier is not None) == prefractured
+                ]
+                if not batch:
+                    continue
+                done = executor.execute_many(
+                    [units[i].items for i in batch],
+                    workers=workers,
+                    field_size=field_size,
+                    cache=cache,
+                    prefractured=prefractured,
+                )
+                for i, outcome in zip(batch, done):
+                    outcomes[i] = outcome
+        program_cache = executor._resolve_cache(cache)
+        program_seen: Dict[tuple, int] = {}
+        results: List[PipelineResult] = []
+        for unit, outcome in zip(units, outcomes):
+            with outcome:
+                if unit.hier is not None:
+                    _apply_hierarchy_stats(outcome.stats, unit.hier)
+                results.append(
+                    self._finish(
+                        outcome,
+                        unit,
+                        machine,
+                        program_path,
+                        program_cache,
+                        job_path,
+                        program_seen,
+                    )
+                )
+        return results
 
     def _finish(
         self,
-        outcome,
-        name: str,
-        source_polygons: int,
-        machine: Optional[str] = None,
-        program_path: Optional[Union[str, Path]] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        program_seen: Optional[Dict[tuple, int]] = None,
+        outcome: ExecutionResult,
+        unit: "_Unit",
+        machine: Optional[str],
+        program_path: Optional[Union[str, Path]],
+        program_cache: Optional[ShardCache],
+        job_path: Optional[Union[str, Path]],
+        program_seen: Dict[tuple, int],
     ) -> PipelineResult:
-        """Wrap an execution outcome in a job, estimate write times and
-        (with a machine mode) export the machine program."""
-        job = MachineJob(outcome.shots, base_dose=self.base_dose, name=name)
-        result = PipelineResult(
-            job=job,
-            fracture_report=outcome.report,
-            source_polygons=source_polygons,
-            corrected=outcome.corrected,
-            execution=outcome.stats,
-        )
-        for writer in self.machines:
-            result.write_times[writer.name] = writer.write_time(job)
-        mode = self._resolve_machine(machine)
-        if mode is not None:
-            from repro.machine.program import MachineSpec, export_program
+        """Assemble an execution into a job, one shot at a time, then
+        estimate write times and (with a machine mode) export the
+        machine program.
 
-            spec = MachineSpec(mode=mode, address_unit=self.address_unit)
-            if program_path is None:
-                program_path = self._default_program_path(name, mode, program_seen)
-            program = export_program(
-                outcome.shard_results,
-                job,
-                spec,
-                program_path,
-                cache=self._resolve_program_cache(cache),
-            )
-            result.machine_program = program
-            outcome.stats.program = program
-        return result
-
-    @staticmethod
-    def _resolve_stream(source) -> tuple:
-        """``(stream, owned)`` for a streaming source; raw polygon
-        iterables return ``(None, False)`` and stream as-is."""
-        if isinstance(source, LayoutStream):
-            return source, False
-        if isinstance(source, (str, Path)):
-            return open_layout_stream(source), True
-        if isinstance(source, (Library, Cell)):
-            return MemoryStream(source), True
-        return None, False
-
-    def _finish_streaming(
-        self,
-        execution,
-        name: str,
-        machine: Optional[str] = None,
-        program_path: Optional[Union[str, Path]] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        job_path: Optional[Union[str, Path]] = None,
-    ) -> PipelineResult:
-        """Assemble a streaming execution into a result, one shard at a
-        time.
-
-        One pass over the spilled shard results folds everything the
-        materialized path reads off the resident shot list — bounding
-        box, exposure aggregates, dose range and the exact shot digest —
-        and (with ``job_path``) streams the ``.ebj`` records as it goes.
-        A second pass feeds the machine-program exporter.  Every fold
-        runs in the merged shot order, so the aggregates and digest are
-        bit-identical to the materialized job's.
+        One pass over the shard results, in merged shot order, folds
+        everything a job reports — bounding box, exposure aggregates,
+        dose range and the exact shot digest of
+        :meth:`~repro.core.job.MachineJob.digest` — and (with
+        ``job_path``) writes the ``.ebj`` records as it goes.  A
+        materialized job also keeps the shots; a streamed one never
+        holds more than one shard's.  The machine-program exporter takes
+        a second pass.
         """
         digest = hashlib.sha256()
         digest.update(_SHOT_PACK.pack(self.base_dose, 0, 0, 0, 0, 0, 0))
@@ -770,16 +712,20 @@ class PreparationPipeline:
             from repro.core.jobfile import JobFileWriter
 
             writer = JobFileWriter(
-                job_path, execution.total_shots, base_dose=self.base_dose
+                job_path, outcome.total_shots, base_dose=self.base_dose
             )
+        shots: List[Shot] = []
         pattern_area = 0.0
         dose_weighted_area = 0.0
         dose_weighted_count = 0.0
         bbox: Optional[List[float]] = None
         dose_min: Optional[float] = None
         dose_max: Optional[float] = None
+        resident = not outcome.stats.streamed
         try:
-            for result in execution.iter_results():
+            for result in outcome.iter_results():
+                if resident:
+                    shots.extend(result.shots)
                 for shot in result.shots:
                     t = shot.trapezoid
                     digest.update(
@@ -816,45 +762,70 @@ class PreparationPipeline:
             if writer is not None:
                 writer.abort()
             raise
-        job = MachineJob.synthetic(
-            figure_count=execution.total_shots,
-            pattern_area=pattern_area,
-            bounding_box=(tuple(bbox) if bbox is not None else (0.0, 0.0, 0.0, 0.0)),
+        job = MachineJob(
+            shots,
             base_dose=self.base_dose,
-            name=name,
-            dose_weighted_area=dose_weighted_area,
-            dose_weighted_count=dose_weighted_count,
+            name=unit.name,
+            bounding_box=tuple(bbox) if bbox is not None else None,
+        )
+        job._aggregate = (
+            outcome.total_shots,
+            pattern_area,
+            dose_weighted_area,
+            dose_weighted_count,
         )
         job._digest = digest.hexdigest()
-        job._dose_range = ((dose_min, dose_max) if dose_min is not None else (0.0, 0.0))
+        job._dose_range = (
+            (dose_min, dose_max) if dose_min is not None else (0.0, 0.0)
+        )
         result = PipelineResult(
             job=job,
-            fracture_report=execution.report,
-            source_polygons=execution.source_polygons,
-            corrected=execution.corrected,
-            execution=execution.stats,
+            fracture_report=outcome.report,
+            source_polygons=(
+                unit.source_polygons
+                if unit.source_polygons is not None
+                else outcome.source_polygons
+            ),
+            corrected=outcome.corrected,
+            execution=outcome.stats,
             job_bytes=job_bytes,
         )
         for machine_writer in self.machines:
-            result.write_times[machine_writer.name] = machine_writer.write_time(job)
+            result.write_times[machine_writer.name] = (
+                machine_writer.write_time(job)
+            )
         mode = self._resolve_machine(machine)
         if mode is not None:
             from repro.machine.program import MachineSpec, export_program
 
             spec = MachineSpec(mode=mode, address_unit=self.address_unit)
             if program_path is None:
-                program_path = self._default_program_path(name, mode, None)
+                program_path = self._default_program_path(
+                    unit.name, mode, program_seen
+                )
             program = export_program(
-                execution.iter_results(),
+                outcome.iter_results(),
                 job,
                 spec,
                 program_path,
-                cache=self._resolve_program_cache(cache),
-                segment_count=execution.stats.occupied_shards,
+                cache=program_cache,
+                segment_count=outcome.stats.occupied_shards,
             )
             result.machine_program = program
-            execution.stats.program = program
+            outcome.stats.program = program
         return result
+
+    @staticmethod
+    def _resolve_stream(source) -> tuple:
+        """``(stream, owned)`` for a streaming source; raw polygon
+        iterables return ``(None, False)`` and stream as-is."""
+        if isinstance(source, LayoutStream):
+            return source, False
+        if isinstance(source, (str, Path)):
+            return open_layout_stream(source), True
+        if isinstance(source, (Library, Cell)):
+            return MemoryStream(source), True
+        return None, False
 
     @staticmethod
     def _gather(

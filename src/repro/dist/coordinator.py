@@ -1,9 +1,9 @@
 """The lease coordinator: a shard work queue remote workers pull from.
 
 One :class:`CoordinatorServer` listens on a TCP endpoint and schedules
-*batches* of shards (one batch per ``execute_many`` call).  Workers pull
-**leases** — ``(position, attempt, lease_id, deadline)`` — execute the
-shard, and commit the serialized result back.  The scheduling rules are
+*batches* of shards (one batch per window).  Workers pull **leases** —
+``(position, attempt, lease_id, deadline)`` — execute the shard, and
+commit the serialized result back.  The scheduling rules are
 the network mirror of the single-host recovery ladder in
 :mod:`repro.core.executor`:
 
@@ -545,7 +545,7 @@ class LeaseQueue:
 
 @dataclass
 class _Batch:
-    """One ``execute_many`` call's work, as the server schedules it."""
+    """One window's work, as the server schedules it."""
 
     id: str
     seq: int

@@ -22,7 +22,6 @@ from typing import Optional, Union
 
 from repro.core.cache import ShardCache
 from repro.core.executor import BackoffWaiter, ExecutionStats
-from repro.core.jobfile import write_job
 from repro.service.jobs import Job, JobStore
 
 
@@ -192,29 +191,22 @@ class JobRunner:
         if spec.recipe.machine is not None:
             program_path = job_dir / f"program.{spec.recipe.machine}.ebp"
         job_path = job_dir / "job.ebj"
-        if spec.recipe.streaming:
-            # Out-of-core: the pipeline spills shard results and streams
-            # the .ebj itself — byte-identical to write_job of the
-            # materialized run, without ever holding the shot list.
-            result = pipeline.run_streaming(
-                library,
-                name=spec.job_name,
-                program_path=program_path,
-                job_path=job_path,
-            )
-            job_bytes = result.job_bytes
-        else:
-            result = pipeline.run(
-                library, name=spec.job_name, program_path=program_path
-            )
-            job_bytes = write_job(result.job, job_path)
+        # Streamed runs spill shard results and never hold the shot
+        # list; either way the .ebj is written while the job assembles.
+        run = pipeline.run_streaming if spec.recipe.streaming else pipeline.run
+        result = run(
+            library,
+            name=spec.job_name,
+            program_path=program_path,
+            job_path=job_path,
+        )
 
         summary = {
             "digest": result.job.digest(),
             "figure_count": result.fracture_report.figure_count,
             "source_polygons": result.source_polygons,
             "corrected": result.corrected,
-            "job_bytes": job_bytes,
+            "job_bytes": result.job_bytes,
             "execution": _stats_view(result.execution),
         }
         stats = result.execution

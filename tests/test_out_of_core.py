@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from repro.core.executor import (
     RetryPolicy,
     ShardedExecutor,
+    ShardOverlapWarning,
     SpillDegradedWarning,
     shutdown_worker_pool,
 )
@@ -41,6 +42,7 @@ from repro.dist import (
     shutdown_coordinators,
 )
 from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.polygon import Polygon
 from repro.layout import generators
 from repro.layout.cell import Cell
 from repro.layout.cif import dumps_cif, loads_cif
@@ -331,6 +333,7 @@ class TestStreamingPipeline:
         assert res.job.dose_weighted_area() == mat.job.dose_weighted_area()
         assert res.job.dose_weighted_count() == mat.job.dose_weighted_count()
         assert res.job.bounding_box == mat.job.bounding_box
+        assert repr(res.job) == repr(mat.job)
         for name, breakdown in mat.write_times.items():
             assert res.write_times[name].total == breakdown.total
 
@@ -380,6 +383,45 @@ class TestStreamingPipeline:
         execution.close()
         with pytest.raises(RuntimeError, match="closed"):
             list(execution.iter_results())
+
+
+class TestPathParity:
+    """The streamed path behaves like the materialized one, not just
+    byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_pool(self):
+        yield
+        shutdown_worker_pool()
+
+    def test_both_paths_check_cross_shard_overlap(self):
+        overlapping = [
+            Polygon.rectangle(0.0, 0.0, 12.0, 5.0),
+            Polygon.rectangle(8.0, 0.0, 20.0, 5.0),
+        ]
+        abutting = [
+            Polygon.rectangle(0.0, 0.0, 12.0, 5.0),
+            Polygon.rectangle(12.0, 0.0, 20.0, 5.0),
+        ]
+        pipe = PreparationPipeline(field_size=10.0)
+        for run in (pipe.run_polygons, pipe.run_streaming):
+            with pytest.warns(ShardOverlapWarning):
+                run(list(overlapping))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ShardOverlapWarning)
+                run(list(abutting))
+
+    def test_fault_positions_are_per_run(self):
+        library = generators.fresnel_zone_plate()
+        pipe = PreparationPipeline(
+            field_size=FIELD_SIZE,
+            workers=1,
+            faults=FaultPlan(transient=((0, 0), (2, 0))),
+        )
+        assert pipe.run(library).execution.shard_retries == 2
+        streamed = pipe.run_streaming(library).execution
+        assert streamed.stream_windows > 1
+        assert streamed.shard_retries == 2
 
 
 # ---------------------------------------------------------------------------

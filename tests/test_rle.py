@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -233,14 +233,22 @@ class TestPropertyOracle:
         st.lists(quantized_trapezoids(), min_size=1, max_size=4),
         st.sampled_from([0.25, 0.5]),
     )
+    # This pair overlaps when the bands are narrower than the
+    # strategy's extent: their additive coverages then sum to a full
+    # pixel that the disjoint-figure encoder never writes.
+    @example(
+        [Trapezoid(3.5, 4.25, 0, 0, 0, 0.75), Trapezoid(0, 0.75, 0, 0, 0, 0.75)],
+        0.5,
+    )
     def test_encode_consistent_with_rasterizer(self, figs, address_unit):
         # One figure per y-band: encode_figures' contract is *disjoint*
         # figures, and the rasterizer's additive-then-clipped coverage
-        # would count overlapping duplicates twice.
+        # would count overlapping duplicates twice.  quantized_trapezoids
+        # draws y0 <= 5 and height <= 3, so a band is 8 um tall.
         figs = [
             Trapezoid(
-                t.y_bottom + i * 4.0,
-                t.y_top + i * 4.0,
+                t.y_bottom + i * 8.0,
+                t.y_top + i * 8.0,
                 t.x_bottom_left,
                 t.x_bottom_right,
                 t.x_top_left,
