@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List
 
-import networkx as nx
-
 from repro.layout.cell import Cell
 
 
@@ -81,33 +79,59 @@ class Library:
 
     # -- hierarchy ---------------------------------------------------------
 
-    def hierarchy_graph(self) -> "nx.DiGraph":
-        """Directed parent→child reference graph over the library."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.cells)
-        for cell in self.cells.values():
-            for ref in cell.references:
-                graph.add_edge(cell.name, ref.cell.name)
-        return graph
+    def hierarchy_graph(self) -> Dict[str, List[str]]:
+        """Parent→children reference map: every library cell maps to the
+        names it references, each once, in first-reference order."""
+        return {
+            name: list(dict.fromkeys(ref.cell.name for ref in cell.references))
+            for name, cell in self.cells.items()
+        }
+
+    def _walk(self) -> Dict[str, int]:
+        """Depth-first walk of the hierarchy: each reached cell's height
+        (1 for a leaf), or ``ValueError`` naming the first cycle found.
+
+        Roots are visited in library order and children in reference
+        order, so the cycle reported is always the same one.
+        """
+        graph = self.hierarchy_graph()
+        height: Dict[str, int] = {}
+        for root in graph:
+            if root in height:
+                continue
+            path = [root]
+            on_path = {root}
+            stack = [iter(graph[root])]
+            while stack:
+                child = next(stack[-1], None)
+                if child is None:
+                    stack.pop()
+                    name = path.pop()
+                    on_path.discard(name)
+                    height[name] = 1 + max(
+                        (height[c] for c in graph.get(name, ())), default=0
+                    )
+                elif child in on_path:
+                    cycle = path[path.index(child) :] + [child]
+                    raise ValueError(
+                        f"reference cycle in library: {' -> '.join(cycle)}"
+                    )
+                elif child not in height:
+                    path.append(child)
+                    on_path.add(child)
+                    stack.append(iter(graph.get(child, ())))
+        return height
 
     def check_acyclic(self) -> None:
         """Raise ``ValueError`` if any reference cycle exists."""
-        graph = self.hierarchy_graph()
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            return
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
-        raise ValueError(f"reference cycle in library: {path}")
+        self._walk()
 
     def top_cells(self) -> List[Cell]:
         """Cells that are not referenced by any other cell."""
-        graph = self.hierarchy_graph()
-        return [
-            self.cells[name]
-            for name in self.cells
-            if graph.in_degree(name) == 0
-        ]
+        referenced = {
+            ref.cell.name for cell in self.cells.values() for ref in cell.references
+        }
+        return [cell for name, cell in self.cells.items() if name not in referenced]
 
     def top_cell(self) -> Cell:
         """The unique top cell.
@@ -122,12 +146,12 @@ class Library:
         return tops[0]
 
     def depth(self) -> int:
-        """Longest reference chain (1 for a flat library)."""
-        graph = self.hierarchy_graph()
-        if not graph:
-            return 0
-        self.check_acyclic()
-        return int(nx.dag_longest_path_length(graph)) + 1
+        """Longest reference chain (1 for a flat library, 0 for an empty one).
+
+        Raises:
+            ValueError: if the hierarchy contains a reference cycle.
+        """
+        return max(self._walk().values(), default=0)
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf
 
 
 def mark_signal(
@@ -37,6 +36,8 @@ def mark_signal(
     The edge response is the beam profile integrated across a step:
     ``0.5·contrast·(1 + erf((x − x_edge)/σ))`` plus Gaussian noise.
     """
+    from scipy.special import erf
+
     if beam_size <= 0:
         raise ValueError("beam size must be positive")
     signal = 0.5 * contrast * (1.0 + erf((positions - edge_position) / beam_size))

@@ -54,6 +54,7 @@ from repro.pec.base import (
     _shot_bbox_arrays,
     _trap_field_arrays,
 )
+from repro.physics.convolution import SameConvolution
 from repro.physics.psf import DoubleGaussianPSF
 
 #: The supported exposure-operator backends.
@@ -323,7 +324,7 @@ class HybridExposureOperator(ExposureOperator):
         if n_points == 0 or n_shots == 0:
             self._scatter = csr_matrix((0, n_shots))
             self._gather = csr_matrix((n_points, 0))
-            self._kernel = np.zeros((1, 1))
+            self._convolve = SameConvolution(np.zeros((1, 1)))
             self._grid_shape = (0, 0)
             return
         x0, y0, x1, y1, _ = _shot_bbox_arrays(shots)
@@ -392,16 +393,13 @@ class HybridExposureOperator(ExposureOperator):
             ),
             shape=(n_points, nx * ny),
         )
-        self._kernel = _beta_cell_kernel(psf.beta, cell, reach_factor)
+        self._convolve = SameConvolution(
+            _beta_cell_kernel(psf.beta, cell, reach_factor)
+        )
         # Back level = Σ mass · (cell-avg Gaussian); the kernel holds
         # cell integrals, hence the 1/cell² — times the η/(1+η) weight
         # of the backscatter term in the normalized double Gaussian.
         self._coeff = psf.eta / (1.0 + psf.eta) / cell**2
-
-    def _convolve(self, image: np.ndarray) -> np.ndarray:
-        from scipy.signal import fftconvolve
-
-        return fftconvolve(image, self._kernel, mode="same")
 
     def apply(self, doses: np.ndarray) -> np.ndarray:
         exposure = self.forward @ doses
@@ -451,7 +449,7 @@ class HybridExposureOperator(ExposureOperator):
 
     @property
     def matrix_nbytes(self) -> int:
-        total = self._kernel.nbytes
+        total = self._convolve.kernel.nbytes
         for m in (self.forward, self._scatter, self._gather):
             total += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
         return total

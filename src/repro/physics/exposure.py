@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.fracture.base import Shot
 from repro.geometry.rasterize import RasterFrame, _scanline_coverage_rows
 from repro.geometry.trapezoid import Trapezoid
+from repro.physics.convolution import SameConvolution
 from repro.physics.psf import DoubleGaussianPSF
 
 
@@ -93,7 +93,7 @@ class ExposureSimulator:
     def __init__(self, psf: DoubleGaussianPSF, frame: RasterFrame) -> None:
         self.psf = psf
         self.frame = frame
-        self._kernel = psf.kernel(frame.pixel)
+        self._convolve = SameConvolution(psf.kernel(frame.pixel))
 
     def absorbed_energy(self, dose_map: np.ndarray) -> np.ndarray:
         """Absorbed-energy image for a dose map on this frame."""
@@ -102,7 +102,7 @@ class ExposureSimulator:
                 f"dose map shape {dose_map.shape} does not match frame "
                 f"({self.frame.ny}, {self.frame.nx})"
             )
-        return fftconvolve(dose_map, self._kernel, mode="same")
+        return self._convolve(dose_map)
 
     def expose_shots(
         self, shots: Iterable[Shot], supersample: int = 4

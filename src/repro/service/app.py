@@ -132,7 +132,16 @@ class PrepRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's end is unknown, so the rest of the stream cannot
+            # be framed as a next request: answer, then hang up.
+            self.close_connection = True
+            raise SchemaError(f"bad Content-Length header: {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise SchemaError("request body is empty; send a JSON object")

@@ -90,3 +90,37 @@ class TestOptimization:
             Column(LAB6, spherical_aberration_mm=0)
         with pytest.raises(ValueError):
             Column(LAB6).max_current_for_spot(0)
+
+
+class TestMaxCurrentMemo:
+    """``max_current_for_spot`` is memoized on (source, kV, Cs, Cc, spot)."""
+
+    def test_memoized_answer_is_the_solve(self):
+        column = Column(LAB6, energy_kev=25.0)
+        assert column.max_current_for_spot(0.3) == column._solve_max_current(0.3)
+
+    def test_equal_columns_share_one_solve(self, monkeypatch):
+        calls = []
+        solve = Column._solve_max_current
+
+        def counting(self, spot_um):
+            calls.append(spot_um)
+            return solve(self, spot_um)
+
+        monkeypatch.setattr(Column, "_solve_max_current", counting)
+        first = Column(TUNGSTEN, energy_kev=17.0).max_current_for_spot(0.5)
+        again = Column(TUNGSTEN, energy_kev=17.0).max_current_for_spot(0.5)
+        assert first == again
+        assert calls == [0.5]
+
+    def test_key_follows_the_column(self):
+        column = Column(LAB6, energy_kev=20.0)
+        before = column.max_current_for_spot(0.25)
+        column.energy_kev = 30.0
+        assert column.max_current_for_spot(0.25) != before
+        assert column.max_current_for_spot(0.25) == column._solve_max_current(0.25)
+
+    def test_unachievable_spot_raises_every_time(self, column):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unachievable"):
+                column.max_current_for_spot(1e-6)

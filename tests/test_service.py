@@ -8,6 +8,7 @@ same job run through the CLI.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -559,6 +560,37 @@ class TestLateFailureFraming:
             assert excinfo.value.partial == b"x" * 10
         finally:
             conn.close()
+
+
+class TestContentLength:
+    """A body length the server cannot trust is a client error: 400, and
+    the connection is closed, since the rest of the stream cannot be
+    framed as a next request."""
+
+    @staticmethod
+    def _raw_post(server, content_length: bytes) -> bytes:
+        """POST ``{}`` with a forged header; everything the server sends
+        before it closes (a kept-alive connection times out instead)."""
+        host, port = server.server_address[:2]
+        request = (
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n{}"
+        )
+        chunks = []
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(request)
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    @pytest.mark.parametrize("value", [b"abc", b"-1"])
+    def test_bad_length_is_400_and_closes(self, server, client, value):
+        reply = self._raw_post(server, value)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert "Content-Length" in json.loads(body)["error"]
+        assert client.get_json("/healthz")[0] == 200
 
 
 class TestDistributedService:
